@@ -33,8 +33,7 @@
 //   "recoveries_exhausted", "degraded"
 // Rows added with exchange metrics carry:
 //   "shipped_bytes" (measured ExchangeLayer wire traffic, retransmissions
-//   included) and "modeled_bytes" (the old virtual-worker cost model's
-//   prediction for the same run, kept so the model's error stays visible)
+//   included)
 
 namespace iolap {
 namespace bench {
@@ -74,24 +73,21 @@ class JsonWriter {
     e.frozen_replay_batches = metrics.TotalFrozenReplayBatches();
     e.recoveries_exhausted = metrics.TotalRecoveriesExhausted();
     e.degraded = metrics.DegradedMode();
-    // Recovery rows come from full engine runs, so the measured-vs-modeled
-    // exchange pair is always available — carry it too.
+    // Recovery rows come from full engine runs, so the measured exchange
+    // bytes are always available — carry them too.
     e.has_exchange = true;
     e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
     rows_.push_back(std::move(e));
   }
 
-  /// Same row plus the measured-vs-modeled exchange byte counts — used by
-  /// the shuffle/broadcast memory benches (fig9/fig10) so the cost model's
-  /// drift from the wire is a tracked series, not a footnote.
+  /// Same row plus the measured exchange bytes — used by the
+  /// shuffle/broadcast memory benches (fig9/fig10).
   void AddWithExchange(const std::string& name, double wall_sec,
                        double cpu_sec, double rows_per_sec, size_t threads,
                        const QueryMetrics& metrics) {
     Entry e{name, wall_sec, cpu_sec, rows_per_sec, threads};
     e.has_exchange = true;
     e.shipped_bytes = metrics.TotalShippedBytes();
-    e.modeled_bytes = metrics.TotalModeledShippedBytes();
     rows_.push_back(std::move(e));
   }
 
@@ -122,10 +118,8 @@ class JsonWriter {
                    Escaped(e.name).c_str(), e.wall_sec, e.cpu_sec,
                    e.rows_per_sec, e.threads);
       if (e.has_exchange) {
-        std::fprintf(f,
-                     ", \"shipped_bytes\": %llu, \"modeled_bytes\": %llu",
-                     static_cast<unsigned long long>(e.shipped_bytes),
-                     static_cast<unsigned long long>(e.modeled_bytes));
+        std::fprintf(f, ", \"shipped_bytes\": %llu",
+                     static_cast<unsigned long long>(e.shipped_bytes));
       }
       if (e.has_recovery) {
         std::fprintf(f,
@@ -153,10 +147,9 @@ class JsonWriter {
     double cpu_sec;
     double rows_per_sec;
     size_t threads;
-    // Optional measured-vs-modeled exchange bytes (AddWithExchange).
+    // Optional measured exchange bytes (AddWithExchange).
     bool has_exchange = false;
     uint64_t shipped_bytes = 0;
-    uint64_t modeled_bytes = 0;
     // Optional failure-recovery counters (AddWithRecovery).
     bool has_recovery = false;
     int recoveries = 0;

@@ -24,7 +24,7 @@ class BootstrapWeights {
   int WeightAt(uint64_t uid, int trial) const;
 
   /// Approximate extra bytes the bootstrap multiplicity columns add to one
-  /// shuffled row (one byte per trial), for the data-shipped cost model.
+  /// shuffled row (one byte per trial), charged on the delta-route ship.
   uint64_t RowOverheadBytes() const { return static_cast<uint64_t>(num_trials_); }
 
  private:

@@ -29,7 +29,7 @@ class Table {
   void AddRow(Row row) { rows_.push_back(std::move(row)); }
   void Reserve(size_t n) { rows_.reserve(n); }
 
-  /// Approximate payload size, for the shuffle cost model.
+  /// Approximate payload size (bench_table1_batches' batch sizes).
   size_t ByteSize() const;
 
   /// Multi-line debug rendering (header + up to `max_rows` rows).

@@ -67,7 +67,7 @@ class Value {
 
   uint64_t Hash() const;
 
-  /// Approximate in-memory footprint, used by the shipped-bytes cost model.
+  /// Approximate in-memory footprint (state accounting, exchange payloads).
   size_t ByteSize() const;
 
   std::string ToString() const;
@@ -92,7 +92,8 @@ using Row = std::vector<Value>;
 /// Hash of a full row (order-sensitive), for group-by and join keys.
 uint64_t HashRow(const Row& row);
 
-/// Approximate serialized size of a row, for the shuffle cost model.
+/// Approximate serialized size of a row (state accounting, exchange
+/// payloads).
 size_t RowByteSize(const Row& row);
 
 std::string RowToString(const Row& row);

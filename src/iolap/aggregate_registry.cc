@@ -246,15 +246,19 @@ size_t AggregateRegistry::GroupCount(int block) const {
   return relations_[block].entries.size();
 }
 
+size_t AggregateRegistry::EntryBytes(const Row& key, const Entry& entry) {
+  size_t total = RowByteSize(key);
+  for (const Value& v : entry.main) total += v.ByteSize();
+  for (const auto& trials : entry.trials) {
+    total += trials.size() * sizeof(double);
+  }
+  return total;
+}
+
 size_t AggregateRegistry::RelationBytes(int block) const {
-  const Relation& rel = relations_[block];
   size_t total = 0;
-  for (const auto& [key, entry] : rel.entries) {
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
+  for (const auto& [key, entry] : relations_[block].entries) {
+    total += EntryBytes(key, entry);
   }
   return total;
 }
@@ -268,18 +272,13 @@ size_t AggregateRegistry::ShardGroupCount(int block, size_t shard,
   return count;
 }
 
-size_t AggregateRegistry::ShardRelationBytes(int block, size_t shard,
-                                             size_t num_shards) const {
-  size_t total = 0;
+std::vector<size_t> AggregateRegistry::ShardRelationBytes(
+    int block, size_t num_shards) const {
+  std::vector<size_t> slices(num_shards, 0);
   for (const auto& [key, entry] : relations_[block].entries) {
-    if (ShardOfHash(HashRow(key), num_shards) != shard) continue;
-    total += RowByteSize(key);
-    for (const Value& v : entry.main) total += v.ByteSize();
-    for (const auto& trials : entry.trials) {
-      total += trials.size() * sizeof(double);
-    }
+    slices[ShardOfHash(HashRow(key), num_shards)] += EntryBytes(key, entry);
   }
-  return total;
+  return slices;
 }
 
 size_t AggregateRegistry::TotalBytes() const {

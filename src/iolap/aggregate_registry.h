@@ -41,8 +41,8 @@ extern ThreadRole engine_serial_phase;
 /// replica envelope under the new scale without re-materializing replicas.
 ///
 /// In the paper this relation is broadcast to all workers each batch so the
-/// lazy-evaluation join is local; here a lookup is a hash probe and the
-/// broadcast is charged to the shipped-bytes cost model by the controller.
+/// lazy-evaluation join is local; here a lookup is a hash probe and, when
+/// sharded, the broadcast is a measured kBroadcastLineage exchange message.
 class AggregateRegistry final : public AggLookupResolver,
                                 public RangeConstraintSink {
  public:
@@ -117,7 +117,8 @@ class AggregateRegistry final : public AggLookupResolver,
   /// groups its rows feed. Slices partition the whole: summing over
   /// shard ∈ [0, num_shards) reproduces GroupCount / RelationBytes.
   size_t ShardGroupCount(int block, size_t shard, size_t num_shards) const;
-  size_t ShardRelationBytes(int block, size_t shard, size_t num_shards) const;
+  /// Bytes of every shard's slice, indexed by shard, in one relation walk.
+  std::vector<size_t> ShardRelationBytes(int block, size_t num_shards) const;
 
   // --- RangeConstraintSink -----------------------------------------------
   // Routes the obligations of pruning decisions (ClassifyPredicate with a
@@ -189,6 +190,8 @@ class AggregateRegistry final : public AggLookupResolver,
   };
 
   const Entry* FindEntry(int block, const Row& key) const;
+  /// One group's share of RelationBytes: key + replicated values.
+  static size_t EntryBytes(const Row& key, const Entry& entry);
   /// Mutable tracker access for constraint registration; null when the
   /// entry is missing, disabled, or untracked.
   VariationRangeTracker* TrackerFor(int block, int col, const Row& key)

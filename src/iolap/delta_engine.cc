@@ -111,7 +111,7 @@ BlockExecutor::BlockExecutor(const QueryPlan* plan, int block_id,
     for (ExprProgramState& state : prog_states_) {
       row_program_->InitState(&state);
     }
-    if (shards_ != nullptr && shards_->size() > 1) {
+    if (shards_->size() > 1) {
       // Sharded evaluate phase: one task per shard, each with its own
       // compiled-program scratch.
       shard_prog_states_.resize(shards_->size());
@@ -479,15 +479,6 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   }
 
   RowBatch fresh = JoinDeltas(input_deltas);
-  // What the shuffle cost model charges for this batch's fresh rows (plus
-  // per-row bootstrap overhead for streamed rows). Measured exchange
-  // traffic accrues separately below, through ExchangeLayer::Ship.
-  stats->modeled_shipped_bytes += BatchByteSize(fresh);
-  for (const ExecRow& row : fresh) {
-    if (row.FromStream()) {
-      stats->modeled_shipped_bytes += bootstrap_.RowOverheadBytes();
-    }
-  }
 
   GroupedAggregateState temp(&block_->aggs, options_->num_trials);
   pending_passing_.clear();
@@ -497,10 +488,6 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   // Re-evaluate the saved non-deterministic set (§5.1: delta update based
   // on U_{i-1} and ΔD_i).
   stats->recomputed_rows += pending_.size();
-  if (!lazy_enabled()) {
-    // Without OPT2 the saved tuples are re-shipped / re-derived.
-    stats->modeled_shipped_bytes += BatchByteSize(pending_);
-  }
 
   // Evaluation phase over fresh ∪ pending rows: refresh, classify (with
   // buffered constraints), and the per-trial re-evaluations of rows bound
@@ -522,8 +509,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
   // recovery: the replay reproduces the fault-free bits exactly).
   // S = 1 is the co-located degenerate: the only shard lives with the
   // coordinator, so nothing crosses a wire and measured bytes stay 0.
-  const bool sharded =
-      shards_ != nullptr && exchange_ != nullptr && shards_->size() > 1;
+  const bool sharded = shards_->size() > 1;
   if (sharded) {
     shards_->BeginBlockBatch();
     const size_t num_shards = shards_->size();
@@ -568,7 +554,7 @@ int BlockExecutor::ProcessBatch(int batch, double scale,
                   &row_scratch_[i], prog_state);
     }
   };
-  if (sharded && shards_->size() > 1) {
+  if (sharded) {
     // One evaluate task per shard, each iterating the rows its shard owns
     // with shard-private program scratch. Rows still write their global
     // row_scratch_ slots and the serial apply phase below consumes them
@@ -927,29 +913,23 @@ int BlockExecutor::PublishOutput(int batch, double scale,
   rollback_injected_ = rollback != kNoRollback && injected_only;
 
   // Broadcast of the refreshed aggregate relation (the §6.2 broadcast
-  // join that lazy evaluation relies on). The virtual-worker model's
-  // charge is recorded as modeled bytes; the real kBroadcastLineage
-  // messages below are measured through the exchange.
-  if (consumed_downstream_ && options_->virtual_workers > 1) {
-    stats->modeled_shipped_bytes +=
-        registry_->RelationBytes(block_->id) *
-        static_cast<uint64_t>(options_->virtual_workers - 1);
-  }
-  if (shards_ != nullptr && exchange_ != nullptr && consumed_downstream_) {
-    // Each shard keeps a cached copy of the block's published relation for
-    // its lineage lookups. It already owns its own registry slice (its
-    // partial aggregates produced it), so the broadcast rebuilds only the
-    // other shards' slices: payload to shard s = relation minus s's slice.
-    // Unsharded (S = 1) this is 0 bytes — there is nobody to ship to.
-    const size_t num_shards = shards_->size();
-    const size_t relation_bytes = registry_->RelationBytes(block_->id);
-    for (size_t s = 0; s < num_shards && num_shards > 1; ++s) {
-      const size_t slice =
-          registry_->ShardRelationBytes(block_->id, s, num_shards);
+  // join that lazy evaluation relies on), measured through the exchange.
+  // Each shard keeps a cached copy of the block's published relation for
+  // its lineage lookups. It already owns its own registry slice (its
+  // partial aggregates produced it), so the broadcast rebuilds only the
+  // other shards' slices: payload to shard s = relation minus s's slice.
+  // Unsharded (S = 1) there is nobody to ship to, so nothing is walked.
+  const size_t num_shards = shards_->size();
+  if (consumed_downstream_ && num_shards > 1) {
+    const std::vector<size_t> slices =
+        registry_->ShardRelationBytes(block_->id, num_shards);
+    size_t relation_bytes = 0;
+    for (const size_t slice : slices) relation_bytes += slice;
+    for (size_t s = 0; s < num_shards; ++s) {
       const auto shipped = exchange_->Ship(
           ExchangeKind::kBroadcastLineage, batch,
           ExchangeMessage::kCoordinator, static_cast<int>(s),
-          static_cast<uint64_t>(relation_bytes - slice),
+          static_cast<uint64_t>(relation_bytes - slices[s]),
           HashCombine(static_cast<uint64_t>(block_->id), relation_bytes));
       if (!shipped.ok()) {
         if (rollback == kNoRollback) {
@@ -1072,10 +1052,7 @@ std::shared_ptr<const BlockExecutor::Checkpoint> BlockExecutor::MakeCheckpoint(
   // Per-shard slice checksums (the consistent-cut rule: restore requires
   // every slice to verify). The shard-checkpoint-corrupt failpoint rots
   // one shard's slice, detail = batch * kMaxShards + shard.
-  const size_t num_shards =
-      shards_ != nullptr ? shards_->size()
-                         : std::max<size_t>(1, options_->num_shards);
-  cp->shard_checksums = ShardSliceChecksums(*cp, num_shards);
+  cp->shard_checksums = ShardSliceChecksums(*cp, shards_->size());
   for (size_t s = 0; s < cp->shard_checksums.size(); ++s) {
     if (IOLAP_FAILPOINT(Failpoint::kShardCheckpointCorrupt,
                         static_cast<uint64_t>(batch) * kMaxShards + s)) {

@@ -85,10 +85,7 @@ struct EngineOptions {
   size_t num_batches = 40;
   PartitionOptions partition;
   uint64_t seed = 42;
-  /// Virtual cluster width for the *modeled* shuffle/broadcast bytes. The
-  /// model's prediction is recorded as BatchMetrics::modeled_shipped_bytes
-  /// next to the measured ExchangeLayer traffic, so its error stays
-  /// visible (bench fig9/fig10).
+  /// Unread; perfbench still sets it. Drop both in the next benchmark change.
   int virtual_workers = 20;
   /// Horizontal shards S (src/shard): relations partition across S
   /// in-process shards by stable row hash, the evaluate phase runs
@@ -146,13 +143,8 @@ struct BlockBatchStats {
   uint64_t input_rows = 0;
   uint64_t recomputed_rows = 0;
   /// Measured exchange traffic (ExchangeLayer wire bytes, including
-  /// retransmissions). Stays 0 when no exchange is attached (direct
-  /// BlockExecutor constructions without a ShardSet).
+  /// retransmissions). 0 at S = 1, where nothing crosses a wire.
   uint64_t shipped_bytes = 0;
-  /// What the virtual-worker shuffle/broadcast cost model would have
-  /// charged — kept alongside the measurement so the model's error is
-  /// visible.
-  uint64_t modeled_shipped_bytes = 0;
 };
 
 /// Executes one lineage block incrementally: join deltas through cached
@@ -166,16 +158,15 @@ class BlockExecutor {
   static constexpr int kNoRollback = -2;
 
   /// `pool` (nullable, not owned) provides intra-batch parallelism; null
-  /// runs every phase inline on the caller. `shards` and `exchange`
-  /// (nullable, not owned; the controller passes its ShardSet and
-  /// ExchangeLayer) enable sharded evaluation and measured exchange
-  /// traffic; null runs unsharded with measured bytes at 0.
+  /// runs every phase inline on the caller. `shards` and `exchange` (not
+  /// owned; the controller's ShardSet and ExchangeLayer) carry every
+  /// cross-shard byte; with one shard nothing is shipped.
   BlockExecutor(const QueryPlan* plan, int block_id,
                 const std::vector<BlockAnnotations>* annotations,
                 const EngineOptions* options, AggregateRegistry* registry,
                 BootstrapWeights bootstrap, bool consumed_downstream,
-                bool feeds_join, ThreadPool* pool = nullptr,
-                ShardSet* shards = nullptr, ExchangeLayer* exchange = nullptr);
+                bool feeds_join, ThreadPool* pool, ShardSet* shards,
+                ExchangeLayer* exchange);
 
   /// Runs one mini-batch. `input_deltas[k]` holds the new rows of input k
   /// this batch; `scale` is m_i = |D| / |D_i|. Returns kNoRollback on
@@ -460,9 +451,9 @@ class BlockExecutor {
   const EngineOptions* options_;
   AggregateRegistry* registry_;
   ThreadPool* pool_;  // not owned; null = inline
-  /// Sharded execution (null = unsharded, no measured exchange traffic).
-  /// Both owned by the controller; see ProcessBatch's routing / evaluate /
-  /// partial-aggregate phases and PublishOutput's lineage broadcast.
+  /// Sharded execution, both owned by the controller; see ProcessBatch's
+  /// routing / evaluate / partial-aggregate phases and PublishOutput's
+  /// lineage broadcast.
   ShardSet* shards_;
   ExchangeLayer* exchange_;
   BootstrapWeights bootstrap_;

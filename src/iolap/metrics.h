@@ -42,10 +42,6 @@ struct BatchMetrics {
   /// traffic — delta routing, partial aggregates, lineage broadcast —
   /// including every retransmission.
   uint64_t shipped_bytes = 0;
-  /// Bytes the old virtual-worker shuffle/broadcast cost model would have
-  /// charged this batch, kept next to the measurement so the model's
-  /// error stays visible (bench fig9/fig10 report both).
-  uint64_t modeled_shipped_bytes = 0;
   /// Exchange messages delivered this batch.
   uint64_t exchange_messages = 0;
   /// Exchange send retries this batch (a delivery was dropped or arrived
@@ -107,8 +103,6 @@ struct QueryMetrics {
   uint64_t TotalShippedBytes() const;
   uint64_t MaxShippedBytesPerBatch() const;
   double AvgShippedBytesPerBatch() const;
-  /// The cost model's prediction for the same traffic (comparison column).
-  uint64_t TotalModeledShippedBytes() const;
   uint64_t TotalExchangeMessages() const;
   int TotalExchangeRetries() const;
   int TotalShardDeaths() const;

@@ -102,8 +102,8 @@ Status QueryController::Init() {
   }
   // The shard fleet and its exchange seam: every cross-shard byte (delta
   // routing, partial aggregates, lineage broadcast) flows through
-  // exchange_, whose measured counters replace the shuffle cost model in
-  // QueryMetrics. S = 1 degenerates to the unsharded engine.
+  // exchange_, whose measured counters are QueryMetrics' only byte
+  // source. S = 1 degenerates to the unsharded engine.
   executors_.clear();
   shards_ = std::make_unique<ShardSet>(options_.num_shards);
   exchange_ = std::make_unique<ExchangeLayer>(shards_.get(),
@@ -148,6 +148,18 @@ void QueryController::FoldVerifierStats() {
     metrics_.programs_verified += stats.verified;
     metrics_.programs_rejected += stats.rejected;
     metrics_.compile_refusals += stats.refused;
+  }
+}
+
+void QueryController::CaptureCheckpoint(int b) {
+  std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
+  snap.reserve(executors_.size());
+  for (const auto& executor : executors_) {
+    snap.push_back(executor->MakeCheckpoint(b));
+  }
+  checkpoints_.push_back(std::move(snap));
+  if (checkpoints_.size() > options_.checkpoint_history) {
+    checkpoints_.pop_front();
   }
 }
 
@@ -376,19 +388,9 @@ Status QueryController::Run(const ResultObserver& observer) {
         bm.recomputed_rows += replay_stats.input_rows;
         bm.recomputed_rows += replay_stats.recomputed_rows;
         bm.shipped_bytes += replay_stats.shipped_bytes;
-        bm.modeled_shipped_bytes += replay_stats.modeled_shipped_bytes;
-        if (bb < b) {
-          // Re-checkpoint replayed batches so a later failure can land on
-          // them again.
-          std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
-          for (const auto& executor : executors_) {
-            snap.push_back(executor->MakeCheckpoint(bb));
-          }
-          checkpoints_.push_back(std::move(snap));
-          if (checkpoints_.size() > options_.checkpoint_history) {
-            checkpoints_.pop_front();
-          }
-        }
+        // Re-checkpoint replayed batches so a later failure can land on
+        // them again.
+        if (bb < b) CaptureCheckpoint(bb);
         if (request != BlockExecutor::kNoRollback) {
           rollback = request;
           injected = replay_injected;
@@ -398,18 +400,7 @@ Status QueryController::Run(const ResultObserver& observer) {
     }
     bm.degrade_level = degrade_level_;
 
-    // Take this batch's checkpoint.
-    {
-      std::vector<std::shared_ptr<const BlockExecutor::Checkpoint>> snap;
-      for (const auto& executor : executors_) {
-        snap.push_back(executor->MakeCheckpoint(b));
-      }
-      checkpoints_.push_back(std::move(snap));
-      if (checkpoints_.size() > options_.checkpoint_history) {
-        checkpoints_.pop_front();
-      }
-    }
-
+    CaptureCheckpoint(b);
     BuildResult(b);
 
     bm.latency_sec = timer.ElapsedSeconds();
@@ -418,7 +409,6 @@ Status QueryController::Run(const ResultObserver& observer) {
     bm.input_rows = stats.input_rows;
     bm.recomputed_rows += stats.recomputed_rows;
     bm.shipped_bytes += stats.shipped_bytes;
-    bm.modeled_shipped_bytes += stats.modeled_shipped_bytes;
     const ExchangeCounters& exchange_after = exchange_->counters();
     bm.exchange_messages = exchange_after.messages - exchange_before.messages;
     bm.exchange_retries =

@@ -91,6 +91,10 @@ class QueryController {
   /// Init-time facts and must survive the per-run reset).
   void FoldVerifierStats();
 
+  /// Pushes every executor's checkpoint of batch `b` onto the ring as one
+  /// snapshot, evicting the oldest beyond options_.checkpoint_history.
+  void CaptureCheckpoint(int b);
+
   /// Restores all state to the newest verifiable checkpoint at or before
   /// batch `target` (-1, or no usable candidate, = full restart). Corrupt
   /// checkpoints (checksum mismatch) are skipped with escalation to the

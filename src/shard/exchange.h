@@ -18,7 +18,7 @@ class ShardSet;
 ///    the coordinator for the serial apply phase;
 ///  - kBroadcastLineage: after publication the coordinator broadcasts the
 ///    block's updated output relation to every shard (the lineage replica
-///    downstream joins read), replacing the old virtual-worker cost model.
+///    downstream joins read).
 enum class ExchangeKind : uint8_t {
   kDeltaRoute,
   kPartialAggregate,
@@ -59,9 +59,9 @@ struct ExchangeMessage {
 uint64_t ExchangeChecksum(const ExchangeMessage& msg);
 
 /// Cumulative traffic and fault counters. Wire bytes count every attempt —
-/// a retransmitted message pays its full size again — so the measured
-/// shuffle/broadcast bytes in QueryMetrics reflect what a lossy link
-/// actually carried, not what the cost model predicted.
+/// a retransmitted message pays its full size again — so the shuffle/
+/// broadcast bytes in QueryMetrics reflect what a lossy link actually
+/// carried.
 struct ExchangeCounters {
   uint64_t messages = 0;        ///< Delivered messages.
   uint64_t attempts = 0;        ///< Send attempts (>= messages).

@@ -91,8 +91,10 @@ struct ChaosOutcome {
 ChaosOutcome RunChaos(std::shared_ptr<Catalog> catalog, const std::string& sql,
                       const std::string& failpoints, size_t num_threads,
                       int num_batches = 4, int num_trials = 24,
-                      size_t num_shards = 1) {
+                      size_t num_shards = 1,
+                      ExecutionMode mode = ExecutionMode::kIolap) {
   EngineOptions options;
+  options.mode = mode;
   options.num_trials = num_trials;
   options.num_batches = num_batches;
   options.slack = 2.0;
@@ -630,22 +632,17 @@ TEST(ShardChaosTest, TransientCorruptionRetriesWithoutRollback) {
             clean.metrics.TotalFailureRecoveries());
 }
 
-// Measured exchange bytes replace the cost model in QueryMetrics: a sharded
-// run reports nonzero measured traffic that differs from the model's
-// prediction, both totals are exposed, and the measurement is exactly the
-// sum of the per-batch ExchangeLayer deltas.
-TEST(ShardChaosTest, MeasuredBytesReplaceModeledBytes) {
+// QueryMetrics' shipped bytes are the ExchangeLayer's measured wire
+// traffic: nonzero when sharded, raised by retransmissions, and zero
+// without a wire.
+TEST(ShardChaosTest, MeasuredBytesCountTheWire) {
   const ChaosCase c = NestedCases().front();
   const ChaosOutcome sharded =
       RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/4);
   ASSERT_TRUE(sharded.ok);
   EXPECT_GT(sharded.metrics.TotalShippedBytes(), 0u);
-  EXPECT_GT(sharded.metrics.TotalModeledShippedBytes(), 0u);
-  EXPECT_NE(sharded.metrics.TotalShippedBytes(),
-            sharded.metrics.TotalModeledShippedBytes());
   EXPECT_GT(sharded.metrics.TotalExchangeMessages(), 0u);
-  // Retransmissions raise the measured wire bytes above the clean run; the
-  // model, blind to the wire, predicts the same traffic either way.
+  // Retransmissions raise the measured wire bytes above the clean run.
   const std::string spec = "exchange-message-corrupt=at:" +
                            std::to_string(ShardDetail(1, 1)) + ",times:1";
   const ChaosOutcome retried =
@@ -653,14 +650,22 @@ TEST(ShardChaosTest, MeasuredBytesReplaceModeledBytes) {
   ASSERT_TRUE(retried.ok);
   EXPECT_GT(retried.metrics.TotalShippedBytes(),
             sharded.metrics.TotalShippedBytes());
-  EXPECT_EQ(retried.metrics.TotalModeledShippedBytes(),
-            sharded.metrics.TotalModeledShippedBytes());
-  // An unsharded run has no wire: measured 0, model still predicting.
+  // An unsharded run has no wire: measured 0.
   const ChaosOutcome unsharded =
       RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/1);
   ASSERT_TRUE(unsharded.ok);
   EXPECT_EQ(unsharded.metrics.TotalShippedBytes(), 0u);
-  EXPECT_GT(unsharded.metrics.TotalModeledShippedBytes(), 0u);
+  // The one-shot baseline ships through the same exchange: S=4 measures
+  // its traffic and answers bit for bit like S=1, which ships nothing.
+  const ChaosOutcome baseline1 =
+      RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/1,
+               ExecutionMode::kBaseline);
+  const ChaosOutcome baseline4 =
+      RunChaos(c.catalog, c.sql, "", 0, 4, 24, /*num_shards=*/4,
+               ExecutionMode::kBaseline);
+  ExpectBitIdentical(baseline4, baseline1, "baseline S=4");
+  EXPECT_EQ(baseline1.metrics.TotalShippedBytes(), 0u);
+  EXPECT_GT(baseline4.metrics.TotalShippedBytes(), 0u);
 }
 
 // Consistent-cut rule: a batch whose checkpoint carries one corrupt shard

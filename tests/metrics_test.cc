@@ -22,7 +22,6 @@ QueryMetrics MakeMetrics() {
     bm.join_state_bytes = 1000 + 100 * b;
     bm.other_state_bytes = 500 - 50 * b;
     bm.shipped_bytes = 2000;
-    bm.modeled_shipped_bytes = 1500;
     bm.exchange_messages = 12;
     bm.exchange_retries = b == 1 ? 2 : 0;
     bm.shard_deaths = b == 2 ? 1 : 0;
@@ -39,7 +38,6 @@ TEST(MetricsTest, Totals) {
   EXPECT_EQ(metrics.TotalShippedBytes(), 8000u);
   EXPECT_EQ(metrics.MaxShippedBytesPerBatch(), 2000u);
   EXPECT_NEAR(metrics.AvgShippedBytesPerBatch(), 2000.0, 1e-9);
-  EXPECT_EQ(metrics.TotalModeledShippedBytes(), 6000u);
   EXPECT_EQ(metrics.TotalExchangeMessages(), 48u);
   EXPECT_EQ(metrics.TotalExchangeRetries(), 2);
   EXPECT_EQ(metrics.TotalShardDeaths(), 1);
@@ -78,13 +76,11 @@ TEST(MetricsTest, LatencyToFractionKeysOnFractionNotBatchIndex) {
   EXPECT_NEAR(metrics.LatencyToFraction(0.99), 0.3, 1e-9);
 }
 
-TEST(MetricsTest, SummaryReportsMeasuredAndModeledBytes) {
+TEST(MetricsTest, SummaryReportsMeasuredBytes) {
   const QueryMetrics metrics = MakeMetrics();
   const std::string summary = metrics.Summary();
-  // Measured exchange bytes are the headline number; the cost model's
-  // prediction rides along for comparison.
+  // Measured exchange bytes are the headline number.
   EXPECT_NE(summary.find("shipped="), std::string::npos);
-  EXPECT_NE(summary.find("modeled="), std::string::npos);
   // Exchange-fault detail appears because retries/deaths are nonzero...
   EXPECT_NE(summary.find("exchange_retries=2"), std::string::npos);
   EXPECT_NE(summary.find("shard_deaths=1"), std::string::npos);

@@ -192,10 +192,13 @@ TEST_F(RegistryTest, ShardSlicesPartitionTheRelation) {
                     .ok);
   }
   for (size_t num_shards : {size_t{1}, size_t{3}, size_t{4}}) {
+    const std::vector<size_t> slices =
+        registry_->ShardRelationBytes(0, num_shards);
+    ASSERT_EQ(slices.size(), num_shards);
     size_t groups = 0, bytes = 0;
     for (size_t s = 0; s < num_shards; ++s) {
       groups += registry_->ShardGroupCount(0, s, num_shards);
-      bytes += registry_->ShardRelationBytes(0, s, num_shards);
+      bytes += slices[s];
     }
     // The slices are a partition: every group and every byte lands in
     // exactly one shard, no overlap, no leftovers.
